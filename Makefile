@@ -63,19 +63,14 @@ bench-json:
 
 # Perf regression gate: re-run the small suite and compare against the
 # committed seed baseline. Non-zero exit on any gated-metric
-# regression. epoc-bench is the authoritative gate; epoc-stats then
-# renders the full baseline diff into the job log (and double-gates on
-# the headline metrics), so a failing run shows *what* moved, not just
-# that something did. Refresh the baseline with:
+# regression (report.DefaultThresholds), printing the full baseline
+# diff table so a failing run shows *what* moved, not just that
+# something did. Refresh the baseline with:
 #   go run ./cmd/epoc-bench -suite small -json bench/baseline
 bench-gate:
 	rm -rf $(CURDIR)/.bench-gate
-	gate=0; \
 	$(GO) run ./cmd/epoc-bench -suite small -json $(CURDIR)/.bench-gate \
-		-baseline bench/baseline/BENCH_small.json || gate=$$?; \
-	$(GO) run ./cmd/epoc-stats -fail-on 'latency_ns=0.01%,fidelity=0.0001,qoc_runs=0' \
-		bench/baseline/BENCH_small.json $(CURDIR)/.bench-gate/BENCH_small.json || gate=$$?; \
-	exit $$gate
+		-baseline bench/baseline/BENCH_small.json
 
 # Store-warm gate: run the small suite in full-GRAPE mode twice over
 # one persistent store. Run 1 pays for GRAPE and populates the store;

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"epoc/internal/benchcirc"
 	"epoc/internal/core"
@@ -162,16 +161,16 @@ func runSuiteMode(suite, jsonDir, baselinePath string) {
 		if err != nil {
 			fatalErr(fmt.Errorf("baseline %s: %w", baselinePath, err))
 		}
-		regs, err := report.CompareBaseline(base, art, nil)
+		d, violations, err := report.GateArtifacts(base, art)
 		if err != nil {
 			fatalErr(fmt.Errorf("baseline %s: %w", baselinePath, err))
 		}
-		if len(regs) > 0 {
-			var b strings.Builder
-			for _, r := range regs {
-				fmt.Fprintf(&b, "  %s\n", r.String())
+		if len(violations) > 0 {
+			fmt.Fprint(os.Stderr, report.FormatDiff(d))
+			fmt.Fprintf(os.Stderr, "epoc-bench: %d regression(s) vs %s:\n", len(violations), baselinePath)
+			for _, v := range violations {
+				fmt.Fprintf(os.Stderr, "  %s\n", v)
 			}
-			fmt.Fprintf(os.Stderr, "epoc-bench: %d regression(s) vs %s:\n%s", len(regs), baselinePath, b.String())
 			os.Exit(1)
 		}
 		fmt.Printf("baseline check passed: %d circuits, no regressions vs %s\n",

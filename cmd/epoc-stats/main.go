@@ -69,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var rules []report.FailRule
+	var rules []report.Threshold
 	if *failOn != "" {
 		var err error
 		if rules, err = report.ParseFailOn(*failOn); err != nil {

@@ -141,29 +141,6 @@ func (c *Circuit) Depth() int {
 	return maxDepth
 }
 
-// Moments partitions ops into layers: each layer holds ops whose qubits
-// are disjoint and whose dependencies are all in earlier layers.
-func (c *Circuit) Moments() [][]Op {
-	front := make([]int, c.NumQubits)
-	var layers [][]Op
-	for _, op := range c.Ops {
-		layer := 0
-		for _, q := range op.Qubits {
-			if front[q] > layer {
-				layer = front[q]
-			}
-		}
-		for len(layers) <= layer {
-			layers = append(layers, nil)
-		}
-		layers[layer] = append(layers[layer], op)
-		for _, q := range op.Qubits {
-			front[q] = layer + 1
-		}
-	}
-	return layers
-}
-
 // CriticalPath returns the weighted depth of the circuit: the longest
 // qubit-dependency chain where each op costs weight(op). This is the
 // latency model used for pulse schedules where each op has a duration.
@@ -208,41 +185,6 @@ func (c *Circuit) Inverse() *Circuit {
 	for i := len(c.Ops) - 1; i >= 0; i-- {
 		op := c.Ops[i]
 		out.Append(op.G.Dagger(), op.Qubits...)
-	}
-	return out
-}
-
-// UsedQubits returns the sorted list of qubits touched by any op.
-func (c *Circuit) UsedQubits() []int {
-	seen := make([]bool, c.NumQubits)
-	for _, op := range c.Ops {
-		for _, q := range op.Qubits {
-			seen[q] = true
-		}
-	}
-	var out []int
-	for q, s := range seen {
-		if s {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
-// Remap returns a copy of the circuit on newN qubits with each qubit q
-// replaced by mapping[q]. Every used qubit must be present in mapping.
-func (c *Circuit) Remap(mapping map[int]int, newN int) *Circuit {
-	out := New(newN)
-	for _, op := range c.Ops {
-		qs := make([]int, len(op.Qubits))
-		for i, q := range op.Qubits {
-			nq, ok := mapping[q]
-			if !ok {
-				panic(fmt.Sprintf("circuit: qubit %d missing from mapping", q))
-			}
-			qs[i] = nq
-		}
-		out.Append(op.G, qs...)
 	}
 	return out
 }

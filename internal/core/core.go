@@ -175,27 +175,35 @@ type Options struct {
 	// convergence metrics and library cache behaviour for this compile
 	// (see internal/obs). The recorder is goroutine-safe and may be
 	// shared across compilations to aggregate; snapshot it with
-	// Obs.Snapshot() after Compile returns. When nil (the default) the
-	// instrumented paths cost a single nil check and zero allocations.
+	// Obs.Snapshot() after Compile returns. Its timers (compile,
+	// stage/*, stage/synth/block, qoc/pulse, qoc/duration_probe) are
+	// recorded by the trace spans of the same names, so an Obs-only
+	// compile gets a private tracer (below). With Obs, Trace and Log
+	// all nil (the default) the instrumented paths cost a nil check
+	// and zero allocations.
 	Obs *obs.Recorder
 
 	// Log, when non-nil, emits structured JSON records at the pipeline's
-	// stage boundaries and at compile completion (stage name, span ID
-	// from Trace, elapsed time, degrade reasons). The serve layer passes
-	// a request-scoped logger already carrying the trace_id, so a log
-	// line, a /metrics scrape and a Chrome trace join on one ID
-	// (DESIGN.md §15). Nil (the default) costs one nil check.
+	// stage boundaries and at compile completion (stage name, span ID,
+	// elapsed time, degrade reasons). A stage's elapsed_ms is its trace
+	// span's interval, so a Log-only compile gets a private tracer too.
+	// The serve layer passes a request-scoped logger already carrying
+	// the trace_id, so a log line, a /metrics scrape and a Chrome trace
+	// join on one ID (DESIGN.md §15).
 	Log *logx.Logger
 
 	// Trace, when non-nil, records a hierarchical span trace of this
 	// compile: a "compile" root span, one child per pipeline stage, one
 	// span per synthesized block class (with cache status, QSearch
-	// nodes and achieved distance) and per optimized pulse (with its
+	// nodes and achieved distance) and per pulse (with its
 	// duration-search probes). Where Obs answers "how much time per
 	// stage in aggregate", the trace answers "which block ate it".
 	// Export with Trace.ChromeTrace (Perfetto-loadable) or bundle
-	// Trace.Summary into a run manifest (internal/report). Like Obs,
-	// a nil tracer costs one nil check and zero allocations.
+	// Trace.Summary into a run manifest (internal/report). When Trace
+	// is nil but Obs or Log is set, the compile makes its own
+	// trace.New(nil) to measure with (one allocation per span, never
+	// exported); spans then read the tracer's clock, so a fake-clock
+	// tracer also fakes the obs timers.
 	Trace *trace.Tracer
 
 	// Budgets bounds the compile's work; see the type's documentation.
@@ -236,40 +244,25 @@ type Options struct {
 	warmUs    []*linalg.Matrix
 }
 
-// stageSpan pairs a stage's aggregate obs timer with its trace span
-// (and, when logging is on, a stage-boundary log record) so the
-// pipeline opens and closes all three with one call.
-type stageSpan struct {
-	obs   obs.Span
-	tr    *trace.Span
-	log   *logx.Logger
-	name  string
-	start time.Time
-}
-
-func (s stageSpan) End() {
-	s.obs.End()
-	s.tr.End()
-	if s.log.Enabled() {
-		s.log.Info("stage done",
-			"stage", s.name,
-			"span", s.tr.ID(),
-			"elapsed_ms", float64(time.Since(s.start).Nanoseconds())/1e6)
+// stage runs fn as one pipeline stage inside a child span of the
+// compile root. The span is the stage's only instrument: ending it
+// records the stage's obs timer (the root span carries the recorder),
+// and its interval is the elapsed_ms of the "stage done" log record.
+// stage returns fn's error; callers of stages that cannot fail discard
+// it.
+func (o *Options) stage(name string, fn func(sp *trace.Span) error) error {
+	sp := o.compileSpan.Child(name)
+	if log := o.Log; log.Enabled() {
+		log.Info("stage start", "stage", name, "span", sp.ID())
+		defer func() {
+			log.Info("stage done",
+				"stage", name,
+				"span", sp.ID(),
+				"elapsed_ms", float64(sp.Duration().Nanoseconds())/1e6)
+		}()
 	}
-}
-
-// beginStage opens the paired obs timer and trace span for one
-// pipeline stage, the trace span a child of the compile root. The
-// wall-clock read for the log record happens only when a logger is
-// attached, keeping the disabled path identical to the pre-logging
-// pipeline.
-func (o *Options) beginStage(name string) stageSpan {
-	ss := stageSpan{obs: o.Obs.Span(name), tr: o.compileSpan.Child(name), log: o.Log, name: name}
-	if o.Log.Enabled() {
-		ss.start = time.Now()
-		o.Log.Info("stage start", "stage", name, "span", ss.tr.ID())
-	}
-	return ss
+	defer sp.End()
+	return fn(sp)
 }
 
 // stageGate builds the cancellation/budget gate for one stage: the
@@ -477,8 +470,11 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Res
 	}
 	start := time.Now()
 	hits0, misses0 := o.Library.Counts()
-	sp := o.Obs.Span("compile")
+	if o.Trace == nil && (o.Obs != nil || o.Log != nil) {
+		o.Trace = trace.New(nil)
+	}
 	tsp := o.Trace.Start("compile").
+		Time(o.Obs).
 		SetStr("strategy", string(o.Strategy)).
 		SetInt("qubits", int64(c.NumQubits)).
 		SetInt("gates", int64(c.Len()))
@@ -502,7 +498,6 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Res
 	default:
 		res, err = compileQOC(c, o)
 	}
-	sp.End()
 	if err != nil {
 		o.Obs.Add("compile/canceled", 1)
 		tsp.SetStr("stop", "canceled")

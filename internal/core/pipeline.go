@@ -10,6 +10,7 @@ import (
 	"epoc/internal/faultclock"
 	"epoc/internal/gate"
 	"epoc/internal/linalg"
+	"epoc/internal/obs"
 	"epoc/internal/optimize"
 	"epoc/internal/partition"
 	"epoc/internal/pulse"
@@ -17,6 +18,7 @@ import (
 	"epoc/internal/route"
 	"epoc/internal/sim"
 	"epoc/internal/synth"
+	"epoc/internal/trace"
 	"epoc/internal/zx"
 )
 
@@ -25,28 +27,32 @@ func compileGateBased(c *circuit.Circuit, o Options) (*Result, error) {
 	if err := o.stageGate(0).Check(faultclock.SiteStageLower); err != nil && !faultclock.IsBudget(err) {
 		return nil, err
 	}
-	sp := o.beginStage("stage/lower")
-	defer sp.End()
 	sched := pulse.NewSchedule(c.NumQubits)
 	res := &Result{Schedule: sched}
-	res.Stats.DepthBefore = c.Depth()
-	res.Stats.GatesBefore = c.Len()
-	for _, op := range c.Ops {
-		if op.G.IsBlock() {
-			return nil, fmt.Errorf("core: gate-based flow cannot lower block gate %s", op.G)
+	err := o.stage("stage/lower", func(*trace.Span) error {
+		res.Stats.DepthBefore = c.Depth()
+		res.Stats.GatesBefore = c.Len()
+		for _, op := range c.Ops {
+			if op.G.IsBlock() {
+				return fmt.Errorf("core: gate-based flow cannot lower block gate %s", op.G)
+			}
+			dur := o.Device.GateLatency(op.G.Kind)
+			//epoc:lint-ignore floatcmp GateLatency returns exactly 0 only for virtual frame-change gates
+			if dur == 0 {
+				continue // virtual gate (frame change)
+			}
+			sched.Add(&pulse.Pulse{
+				Label:    string(op.G.Kind),
+				Qubits:   append([]int(nil), op.Qubits...),
+				Duration: dur,
+				Fidelity: o.Device.GateFidelity(len(op.Qubits)),
+			})
+			res.Stats.PulseCount++
 		}
-		dur := o.Device.GateLatency(op.G.Kind)
-		//epoc:lint-ignore floatcmp GateLatency returns exactly 0 only for virtual frame-change gates
-		if dur == 0 {
-			continue // virtual gate (frame change)
-		}
-		sched.Add(&pulse.Pulse{
-			Label:    string(op.G.Kind),
-			Qubits:   append([]int(nil), op.Qubits...),
-			Duration: dur,
-			Fidelity: o.Device.GateFidelity(len(op.Qubits)),
-		})
-		res.Stats.PulseCount++
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -76,9 +82,10 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 		}
 		res.DegradeReasons = append(res.DegradeReasons, "zx")
 	} else if *o.UseZX {
-		sp := o.beginStage("stage/zx")
-		work = zxOptimize(work)
-		sp.End()
+		_ = o.stage("stage/zx", func(*trace.Span) error {
+			work = zxOptimize(work)
+			return nil
+		})
 	}
 	res.Stats.DepthAfterZX = work.Depth()
 	res.Stats.GatesAfterZX = work.Len()
@@ -91,15 +98,19 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 		if err := g.Check(faultclock.SiteStageRoute); err != nil && !faultclock.IsBudget(err) {
 			return nil, err
 		}
-		sp := o.beginStage("stage/route")
-		basis := optimize.DecomposeToBasis(work)
-		topo := route.NewTopology(o.Device.NumQubits, o.Device.Edges)
-		routed, err := route.Route(basis, topo)
-		sp.End()
+		err := o.stage("stage/route", func(*trace.Span) error {
+			basis := optimize.DecomposeToBasis(work)
+			topo := route.NewTopology(o.Device.NumQubits, o.Device.Edges)
+			routed, err := route.Route(basis, topo)
+			if err != nil {
+				return err
+			}
+			work = routed.Circuit
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		work = routed.Circuit
 	}
 
 	// Stage 2: greedy partition (Algorithm 1). Mandatory: later stages
@@ -107,12 +118,14 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 	if err := g.Check(faultclock.SiteStagePartition); err != nil && !faultclock.IsBudget(err) {
 		return nil, err
 	}
-	sp := o.beginStage("stage/partition")
-	blocks := partition.Partition(work, partition.Options{
-		MaxQubits: o.PartitionMaxQubits,
-		MaxGates:  o.PartitionMaxGates,
+	var blocks []partition.Block
+	_ = o.stage("stage/partition", func(*trace.Span) error {
+		blocks = partition.Partition(work, partition.Options{
+			MaxQubits: o.PartitionMaxQubits,
+			MaxGates:  o.PartitionMaxGates,
+		})
+		return nil
 	})
-	sp.End()
 	res.Stats.Blocks = len(blocks)
 
 	// Stage 3: lower blocks. EPOC flows synthesize each block into
@@ -127,11 +140,12 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 		}
 		o.synthGate = o.stageGate(o.Budgets.SynthTime)
 		o.Synth.Gate = o.synthGate
-		sp := o.beginStage("stage/synth")
-		o.synthSpan = sp.tr
-		var err error
-		lowered, err = synthesizeBlocks(c.NumQubits, blocks, o, &res.Stats)
-		sp.End()
+		err := o.stage("stage/synth", func(sp *trace.Span) error {
+			o.synthSpan = sp
+			var err error
+			lowered, err = synthesizeBlocks(c.NumQubits, blocks, o, &res.Stats)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -156,9 +170,10 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 			pulsed = lowered
 			break
 		}
-		sp := o.beginStage("stage/regroup")
-		pulsed = synth.Regroup(lowered, o.RegroupMaxQubits)
-		sp.End()
+		_ = o.stage("stage/regroup", func(*trace.Span) error {
+			pulsed = synth.Regroup(lowered, o.RegroupMaxQubits)
+			return nil
+		})
 	case EPOCNoGroup:
 		pulsed = lowered
 	default:
@@ -185,52 +200,56 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 	}
 	qocStart := time.Now()
 	o.qocGate = o.stageGate(o.Budgets.QOCTime)
-	sp = o.beginStage("stage/qoc")
-	o.qocSpan = sp.tr
-	// Freeze the warm-start candidate set before any worker runs: every
-	// pulse in this compile selects its neighbour from the same
-	// snapshot, so the choice — and therefore the output — cannot
-	// depend on worker scheduling. AccQOC keeps its own MST warm-start
-	// policy.
-	if o.Mode == QOCFull && *o.WarmStart && o.Strategy != AccQOC {
-		snapshotWarmCands(&o)
-	}
-	if o.Mode == QOCFull {
-		if o.Strategy == AccQOC {
-			if err := mstPrefill(pulsed, o, &res.Stats); err != nil {
-				return nil, err
-			}
-		} else if err := prefillLibrary(pulsed, o, &res.Stats); err != nil {
-			return nil, err
+	err := o.stage("stage/qoc", func(sp *trace.Span) error {
+		o.qocSpan = sp
+		// Freeze the warm-start candidate set before any worker runs:
+		// every pulse in this compile selects its neighbour from the
+		// same snapshot, so the choice — and therefore the output —
+		// cannot depend on worker scheduling. AccQOC keeps its own MST
+		// warm-start policy.
+		if o.Mode == QOCFull && *o.WarmStart && o.Strategy != AccQOC {
+			snapshotWarmCands(&o)
 		}
-	}
-	sched := pulse.NewSchedule(c.NumQubits)
-	res.Schedule = sched
-	for _, op := range pulsed.Ops {
-		u := op.G.Matrix()
-		p, hit := o.Library.Lookup(u)
-		if !hit {
-			var err error
-			p, err = pulseFor(u, op, o, &res.Stats)
-			if err != nil && !faultclock.IsBudget(err) {
-				return nil, err
-			}
-			if err == nil {
-				o.Library.Store(u, p)
+		if o.Mode == QOCFull {
+			if o.Strategy == AccQOC {
+				if err := mstPrefill(pulsed, o, &res.Stats); err != nil {
+					return err
+				}
+			} else if err := prefillLibrary(pulsed, o, &res.Stats); err != nil {
+				return err
 			}
 		}
-		placed := &pulse.Pulse{
-			Label:    p.Label,
-			Qubits:   append([]int(nil), op.Qubits...),
-			Duration: p.Duration,
-			Fidelity: p.Fidelity,
-			Slots:    p.Slots,
-			Amps:     p.Amps,
+		sched := pulse.NewSchedule(c.NumQubits)
+		res.Schedule = sched
+		for _, op := range pulsed.Ops {
+			u := op.G.Matrix()
+			p, hit := o.Library.Lookup(u)
+			if !hit {
+				var err error
+				p, err = pulseFor(u, op, o, &res.Stats)
+				if err != nil && !faultclock.IsBudget(err) {
+					return err
+				}
+				if err == nil {
+					o.Library.Store(u, p)
+				}
+			}
+			placed := &pulse.Pulse{
+				Label:    p.Label,
+				Qubits:   append([]int(nil), op.Qubits...),
+				Duration: p.Duration,
+				Fidelity: p.Fidelity,
+				Slots:    p.Slots,
+				Amps:     p.Amps,
+			}
+			sched.Add(placed)
+			res.Stats.PulseCount++
 		}
-		sched.Add(placed)
-		res.Stats.PulseCount++
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	sp.End()
 	res.QOCTime = time.Since(qocStart)
 	return res, nil
 }
@@ -300,7 +319,6 @@ func synthesizeBlocks(n int, blocks []partition.Block, o Options, st *Stats) (*c
 	}
 	results := make([]outcome, len(classes))
 	run := func(ci int) {
-		bsp := o.Obs.Span("stage/synth/block")
 		// The class index, qubit count and duplicate count are pure
 		// functions of the circuit, so block spans sort canonically
 		// regardless of which worker ran them.
@@ -314,7 +332,6 @@ func synthesizeBlocks(n int, blocks []partition.Block, o Options, st *Stats) (*c
 		circ, ok, status, err := o.SynthCache.GetOrCompute(o.synthGate, classes[ci].u, func() (*circuit.Circuit, bool, error) {
 			return synth.SynthesizeOutcome(classes[ci].u, sopts)
 		})
-		bsp.End()
 		tsp.SetStr("cache", status.String()).SetBool("ok", ok)
 		results[ci] = outcome{circ: circ, ok: ok, status: status, err: err}
 	}
@@ -583,9 +600,10 @@ func pulseForWarm(u *linalg.Matrix, op circuit.Op, o Options, st *Stats, warm []
 	k := len(op.Qubits)
 	label := fmt.Sprintf("%s[%dq]", op.G.Kind, k)
 	// One trace span per pulse that reaches the optimizer (or the
-	// estimator); the unitary fingerprint prefix distinguishes sibling
-	// spans deterministically — the prefill pools dedupe by
-	// fingerprint, so no two concurrent pulse spans share one.
+	// estimator), which also records the qoc/pulse obs timer; the
+	// unitary fingerprint prefix distinguishes sibling spans
+	// deterministically — the prefill pools dedupe by fingerprint, so
+	// no two concurrent pulse spans share one.
 	tsp := o.qocSpan.Child("qoc/pulse").
 		SetStr("label", label).
 		SetStr("u", fingerprintPrefix(u))
@@ -608,20 +626,16 @@ func pulseForWarm(u *linalg.Matrix, op circuit.Op, o Options, st *Stats, warm []
 		step = 2 * o.SlotStep2Q
 	}
 	st.QOCRuns++
-	// Per-entry optimize cost: one span per distinct unitary that
-	// reaches the optimizer (the pulse library absorbs the rest).
-	sp := o.Obs.Span("qoc/pulse")
-	defer sp.End()
-	var r qoc.Result
+	var run qoc.Runner
 	if o.Algorithm == AlgCRAB {
-		r = qoc.DurationSearchCRAB(model, u, 2, maxSlots, step, qoc.CRABConfig{
+		cfg := qoc.CRABConfig{
 			Target:      o.FidelityTarget,
 			Seed:        o.Seed,
 			Obs:         o.Obs,
 			Gate:        o.qocGate,
 			BudgetIters: o.Budgets.QOCIters,
-			Span:        tsp,
-		})
+		}
+		run = func(slots int) qoc.Result { return qoc.CRAB(model, u, slots, cfg) }
 	} else {
 		cfg := qoc.GRAPEConfig{
 			MaxIter:     o.GRAPEIters,
@@ -630,16 +644,11 @@ func pulseForWarm(u *linalg.Matrix, op circuit.Op, o Options, st *Stats, warm []
 			Obs:         o.Obs,
 			Gate:        o.qocGate,
 			BudgetIters: o.Budgets.QOCIters,
-			Span:        tsp,
 		}
-		if warm == nil {
-			r = qoc.DurationSearch(model, u, 2, maxSlots, step, cfg)
-		} else {
-			r = qoc.SearchDuration(cfg.Gate, 2, maxSlots, step, cfg.Target, qoc.ObserveProbes(o.Obs, qoc.TraceProbes(tsp, func(slots int) qoc.Result {
-				return qoc.WarmStartGRAPE(model, u, slots, warm, cfg)
-			})))
-		}
+		// A nil warm start is plain GRAPE.
+		run = func(slots int) qoc.Result { return qoc.WarmStartGRAPE(model, u, slots, warm, cfg) }
 	}
+	r := qoc.SearchDuration(o.qocGate, 2, maxSlots, step, o.FidelityTarget, probed(tsp, o.Obs, run))
 	tsp.SetInt("slots", int64(r.Slots)).
 		SetInt("iterations", int64(r.Iterations)).
 		SetFloat("duration_ns", r.Duration).
@@ -675,6 +684,31 @@ func pulseForWarm(u *linalg.Matrix, op circuit.Op, o Options, st *Stats, warm []
 		Slots:    r.Slots,
 		Amps:     r.Amps,
 	}, r.Err
+}
+
+// probed wraps a duration-search Runner so every probe runs inside a
+// "qoc/duration_probe" child of the pulse span sp (which also records
+// the probe's obs timer), annotated with the probed slot count, the
+// achieved fidelity and the iteration count, and counts it in the
+// qoc/duration_probes counter, the qoc/probe_slots series (in probe
+// order) and one qoc/search event on rec. Slot counts are unique per
+// search (SearchDuration memoizes probes), which keeps sibling probe
+// spans canonically orderable. Uninstrumented compiles (nil sp) get
+// run back as-is.
+func probed(sp *trace.Span, rec *obs.Recorder, run qoc.Runner) qoc.Runner {
+	if sp == nil {
+		return run
+	}
+	return func(slots int) qoc.Result {
+		psp := sp.Child("qoc/duration_probe").SetInt("slots", int64(slots))
+		defer psp.End()
+		r := run(slots)
+		psp.SetFloat("fidelity", r.Fidelity).SetInt("iters", int64(r.Iterations))
+		rec.Add("qoc/duration_probes", 1)
+		rec.Sample("qoc/probe_slots", float64(slots))
+		rec.Eventf("qoc/search", "probe slots=%d fid=%.6f iters=%d", slots, r.Fidelity, r.Iterations)
+		return r
+	}
 }
 
 // fingerprintPrefix shortens a unitary fingerprint to a readable trace

@@ -36,8 +36,9 @@ var layeringDAG = map[string][]string{
 	// faultclock is the cancellation/budget gate threaded through the
 	// pipeline's loops (PR 4) — a leaf so every layer can carry it.
 	// trace is a leaf by the same argument as faultclock: it declares
-	// its own Clock interface (satisfied structurally by faultclock's
-	// fake), so every layer can carry spans without new edges.
+	// its own Clock and Timer interfaces (satisfied structurally by
+	// faultclock's clocks and obs.Recorder), so every layer can carry
+	// spans without new edges.
 	// logx is a leaf too: it takes trace/span IDs as plain strings
 	// instead of importing internal/trace, so any layer can carry a
 	// logger without new edges.
@@ -77,7 +78,7 @@ var layeringDAG = map[string][]string{
 	"internal/debugsrv": {"internal/metrics", "internal/obs"},
 	"internal/hardware": {"internal/gate", "internal/qoc"},
 	"internal/pulse":    {"internal/linalg"},
-	"internal/qoc":      {"internal/faultclock", "internal/gate", "internal/linalg", "internal/linalg/kernel", "internal/obs", "internal/opt", "internal/trace"},
+	"internal/qoc":      {"internal/faultclock", "internal/gate", "internal/linalg", "internal/linalg/kernel", "internal/obs", "internal/opt"},
 	"internal/report":   {"internal/obs", "internal/trace"},
 	"internal/synth":    {"internal/circuit", "internal/faultclock", "internal/gate", "internal/linalg", "internal/obs", "internal/opt", "internal/optimize", "internal/trace"},
 

@@ -8,7 +8,7 @@
 // The Recorder offers four primitives:
 //
 //   - named counters        Add("synth/nodes", 5)
-//   - monotonic timers      sp := r.Span("stage/zx"); ...; sp.End()
+//   - monotonic timers      sp := r.Span("synth/instantiate"); ...; sp.End()
 //   - value distributions   Observe("qoc/grape/iterations", 120)
 //   - bounded traces        Sample("qoc/grape/fidelity", 0.97)
 //     and events            Eventf("qoc/grape", "slots=%d stop=%s", ...)
@@ -30,11 +30,19 @@
 //	snap := r.Snapshot()
 //	fmt.Print(report.RenderSnapshot(snap))
 //
+// The pipeline's boundary timers (compile, stage/*, stage/synth/block,
+// qoc/pulse, qoc/duration_probe) are not opened here: core binds the
+// Recorder to the compile's root trace span, and each trace span
+// records its own interval through RecordDuration when it ends, so
+// the trace, these timers and the stage log records share one
+// measurement per region. Recorder.Span remains for timers with no
+// trace span (synth/instantiate).
+//
 // Naming convention: slash-separated lowercase paths, with the
-// pipeline stage timers under "stage/" (stage/zx, stage/route,
-// stage/partition, stage/synth, stage/regroup, stage/qoc), optimizer
-// metrics under "qoc/" and "synth/", and cache metrics under
-// "library/".
+// pipeline stage timers under "stage/" (stage/lower, stage/zx,
+// stage/route, stage/partition, stage/synth, stage/regroup,
+// stage/qoc), optimizer metrics under "qoc/" and "synth/", and cache
+// metrics under "library/".
 package obs
 
 import (
@@ -228,10 +236,16 @@ func (s Span) End() {
 	if s.r == nil {
 		return
 	}
-	s.r.recordDuration(s.name, time.Since(s.start))
+	s.r.RecordDuration(s.name, time.Since(s.start))
 }
 
-func (r *Recorder) recordDuration(name string, d time.Duration) {
+// RecordDuration folds one measured duration into the named timer. It
+// makes the Recorder a trace.Timer: a trace span bound to the recorder
+// records its own interval here when it ends.
+func (r *Recorder) RecordDuration(name string, d time.Duration) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	t := r.timers[name]
 	if t == nil {

@@ -131,7 +131,7 @@ func TestHistogramBucketPlacement(t *testing.T) {
 		t.Fatalf("bucket total %d != count %d", got, d.Count)
 	}
 
-	r.recordDuration("t", 3*time.Millisecond) // 3e-3 s -> first bound >= is 4.096e-3 (bucket 6)
+	r.RecordDuration("t", 3*time.Millisecond) // 3e-3 s -> first bound >= is 4.096e-3 (bucket 6)
 	tm := r.Snapshot().Timers["t"]
 	if tm.Buckets[6] != 1 {
 		t.Fatalf("timer bucket placement: %v", tm.Buckets)
@@ -145,15 +145,15 @@ func TestMerge(t *testing.T) {
 	a := New()
 	a.Add("c", 2)
 	a.Observe("d", 1)
-	a.recordDuration("t", time.Millisecond)
+	a.RecordDuration("t", time.Millisecond)
 
 	b := New()
 	b.Add("c", 3)
 	b.Add("only-b", 1)
 	b.Observe("d", 100)
 	b.Observe("only-b-dist", 7)
-	b.recordDuration("t", time.Second)
-	b.recordDuration("only-b-timer", time.Microsecond)
+	b.RecordDuration("t", time.Second)
+	b.RecordDuration("only-b-timer", time.Microsecond)
 
 	a.Merge(b.Snapshot())
 	s := a.Snapshot()
@@ -272,9 +272,9 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 
 func TestTimerNamesHottestFirst(t *testing.T) {
 	r := New()
-	r.recordDuration("cold", time.Millisecond)
-	r.recordDuration("hot", time.Second)
-	r.recordDuration("warm", 10*time.Millisecond)
+	r.RecordDuration("cold", time.Millisecond)
+	r.RecordDuration("hot", time.Second)
+	r.RecordDuration("warm", 10*time.Millisecond)
 	got := r.Snapshot().TimerNames()
 	want := []string{"hot", "warm", "cold"}
 	for i := range want {

@@ -416,30 +416,6 @@ func NelderMead(f Objective, x0 []float64, cfg NelderMeadConfig) Result {
 	return Result{X: pts[0], F: fv[0], Iterations: cfg.MaxIter, Converged: false}
 }
 
-// GoldenSection minimizes a unimodal 1-D function on [a, b] to within
-// tol and returns the minimizing point.
-func GoldenSection(f func(float64) float64, a, b, tol float64) float64 {
-	const invPhi = 0.6180339887498949
-	if a > b {
-		a, b = b, a
-	}
-	c := b - invPhi*(b-a)
-	d := a + invPhi*(b-a)
-	fc, fd := f(c), f(d)
-	for b-a > tol {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - invPhi*(b-a)
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + invPhi*(b-a)
-			fd = f(d)
-		}
-	}
-	return (a + b) / 2
-}
-
 func dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {

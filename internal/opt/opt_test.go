@@ -102,20 +102,6 @@ func TestFiniteDiffGradientMatchesAnalytic(t *testing.T) {
 	}
 }
 
-func TestGoldenSectionQuadratic(t *testing.T) {
-	x := GoldenSection(func(x float64) float64 { return (x - 1.3) * (x - 1.3) }, -10, 10, 1e-8)
-	if math.Abs(x-1.3) > 1e-6 {
-		t.Fatalf("GoldenSection: %v", x)
-	}
-}
-
-func TestGoldenSectionReversedBounds(t *testing.T) {
-	x := GoldenSection(func(x float64) float64 { return x * x }, 5, -5, 1e-8)
-	if math.Abs(x) > 1e-6 {
-		t.Fatalf("GoldenSection reversed bounds: %v", x)
-	}
-}
-
 func TestQuickAdamQuadraticRandomStart(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

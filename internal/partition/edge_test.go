@@ -123,8 +123,8 @@ func TestPartitionEdgeCases(t *testing.T) {
 				if tc.maxBlockQubits > 0 && len(b.Qubits) > tc.maxBlockQubits {
 					t.Fatalf("block %d spans %d qubits, cap %d", i, len(b.Qubits), tc.maxBlockQubits)
 				}
-				if tc.maxBlockGates > 0 && b.GateCount() > tc.maxBlockGates {
-					t.Fatalf("block %d has %d gates, cap %d", i, b.GateCount(), tc.maxBlockGates)
+				if tc.maxBlockGates > 0 && b.Local.Len() > tc.maxBlockGates {
+					t.Fatalf("block %d has %d gates, cap %d", i, b.Local.Len(), tc.maxBlockGates)
 				}
 			}
 			if bridges != tc.bridges {

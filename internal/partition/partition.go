@@ -25,9 +25,6 @@ type Block struct {
 // Unitary returns the block's unitary over its local qubit ordering.
 func (b *Block) Unitary() *linalg.Matrix { return b.Local.Unitary() }
 
-// GateCount returns the number of ops in the block.
-func (b *Block) GateCount() int { return b.Local.Len() }
-
 // Options bounds the partition.
 type Options struct {
 	MaxQubits int // qubits per group (paper: up to 8; default 3)

@@ -67,8 +67,8 @@ func TestPartitionRespectsLimits(t *testing.T) {
 		if len(b.Qubits) > 2 {
 			t.Fatalf("block qubits %v exceed limit", b.Qubits)
 		}
-		if b.GateCount() > 5 {
-			t.Fatalf("block has %d gates", b.GateCount())
+		if b.Local.Len() > 5 {
+			t.Fatalf("block has %d gates", b.Local.Len())
 		}
 	}
 }
@@ -101,7 +101,7 @@ func TestBridgeOpsPreserved(t *testing.T) {
 	for _, b := range blocks {
 		if b.Bridge {
 			bridges++
-			if b.GateCount() != 1 {
+			if b.Local.Len() != 1 {
 				t.Fatal("bridge block should hold one op")
 			}
 		}

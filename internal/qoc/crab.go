@@ -8,7 +8,6 @@ import (
 	"epoc/internal/linalg"
 	"epoc/internal/obs"
 	"epoc/internal/opt"
-	"epoc/internal/trace"
 )
 
 // CRABConfig tunes the Chopped Random Basis optimizer (Caneva,
@@ -40,11 +39,6 @@ type CRABConfig struct {
 	// "qoc/crab/*" (runs, restarts used, iteration and final-fidelity
 	// distributions, early-stop reason counters).
 	Obs *obs.Recorder
-
-	// Span, when non-nil, is the trace span of the pulse being
-	// optimized; the duration search hangs one "qoc/duration_probe"
-	// child span off it per probe (see GRAPEConfig.Span).
-	Span *trace.Span
 }
 
 func (c *CRABConfig) defaults() {

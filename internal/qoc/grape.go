@@ -9,7 +9,6 @@ import (
 	"epoc/internal/linalg"
 	"epoc/internal/linalg/kernel"
 	"epoc/internal/obs"
-	"epoc/internal/trace"
 )
 
 // GRAPEConfig tunes the optimizer.
@@ -39,12 +38,6 @@ type GRAPEConfig struct {
 	// reason counters (qoc/grape/stop/*), and a bounded per-iteration
 	// fidelity series under "qoc/grape/fidelity".
 	Obs *obs.Recorder
-
-	// Span, when non-nil, is the trace span of the pulse being
-	// optimized; the duration search hangs one "qoc/duration_probe"
-	// child span off it per probe, annotated with the probed slot
-	// count, achieved fidelity and iterations.
-	Span *trace.Span
 }
 
 func (c *GRAPEConfig) defaults() {
@@ -278,45 +271,6 @@ func copyAmps(dst, src [][]float64) {
 // the duration search to abstract over GRAPE and CRAB.
 type Runner func(slots int) Result
 
-// ObserveProbes wraps a Runner so every duration-search probe is
-// recorded: a per-probe timer ("qoc/duration_probe"), the probed slot
-// sequence ("qoc/probe_slots" series, in probe order), and a trace
-// event per probe. With a nil recorder the Runner is returned as-is.
-func ObserveProbes(r *obs.Recorder, run Runner) Runner {
-	if r == nil {
-		return run
-	}
-	return func(slots int) Result {
-		sp := r.Span("qoc/duration_probe")
-		res := run(slots)
-		sp.End()
-		r.Add("qoc/duration_probes", 1)
-		r.Sample("qoc/probe_slots", float64(slots))
-		r.Eventf("qoc/search", "probe slots=%d fid=%.6f iters=%d", slots, res.Fidelity, res.Iterations)
-		return res
-	}
-}
-
-// TraceProbes wraps a Runner so every duration-search probe records a
-// "qoc/duration_probe" child span under the pulse's span, annotated
-// with the probed slot count and the probe's achieved fidelity and
-// iteration count. Slot counts are unique per search (SearchDuration
-// memoizes probes), which keeps sibling probe spans canonically
-// orderable and traced compiles byte-identical across worker counts.
-// With a nil span the Runner is returned as-is.
-func TraceProbes(sp *trace.Span, run Runner) Runner {
-	if sp == nil {
-		return run
-	}
-	return func(slots int) Result {
-		psp := sp.Child("qoc/duration_probe").SetInt("slots", int64(slots))
-		defer psp.End()
-		res := run(slots)
-		psp.SetFloat("fidelity", res.Fidelity).SetInt("iters", int64(res.Iterations))
-		return res
-	}
-}
-
 // SearchDuration finds the smallest slot count in [minSlots, maxSlots]
 // whose fidelity reaches target, using binary search over the
 // quantized slot grid (the AccQOC strategy). It returns the best pulse
@@ -415,15 +369,7 @@ func SearchDuration(g *faultclock.Gate, minSlots, maxSlots, step int, target flo
 // DurationSearch is SearchDuration specialized to GRAPE.
 func DurationSearch(m *Model, target *linalg.Matrix, minSlots, maxSlots int, step int, cfg GRAPEConfig) Result {
 	cfg.defaults()
-	return SearchDuration(cfg.Gate, minSlots, maxSlots, step, cfg.Target, ObserveProbes(cfg.Obs, TraceProbes(cfg.Span, func(slots int) Result {
+	return SearchDuration(cfg.Gate, minSlots, maxSlots, step, cfg.Target, func(slots int) Result {
 		return GRAPE(m, target, slots, cfg)
-	})))
-}
-
-// DurationSearchCRAB is SearchDuration specialized to CRAB.
-func DurationSearchCRAB(m *Model, target *linalg.Matrix, minSlots, maxSlots int, step int, cfg CRABConfig) Result {
-	cfg.defaults()
-	return SearchDuration(cfg.Gate, minSlots, maxSlots, step, cfg.Target, ObserveProbes(cfg.Obs, TraceProbes(cfg.Span, func(slots int) Result {
-		return CRAB(m, target, slots, cfg)
-	})))
+	})
 }

@@ -8,6 +8,7 @@ package report
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -314,12 +315,42 @@ func FormatDiff(d *RunDiff) string {
 
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// FailRule is one -fail-on clause: the metric may move against the
-// baseline in its worse direction by at most |base|·Rel + Abs.
-type FailRule struct {
-	Metric string
-	Rel    float64 // from a "%" suffixed limit
-	Abs    float64
+// Threshold is one regression-gate rule: Metric may move against the
+// baseline in its worse direction (down when HigherIsBetter, else up)
+// by at most |baseline|·Rel + Abs. A metric no rule names is
+// informational: the diff shows it, the gate ignores it.
+type Threshold struct {
+	Metric         string
+	Rel            float64
+	Abs            float64
+	HigherIsBetter bool
+}
+
+// DefaultThresholds is the bench gate's policy (epoc-bench -baseline).
+// The pipeline is deterministic at any worker count, so result metrics
+// (latency, fidelity, counts) gate with only float-noise slack — any
+// larger movement is a real behaviour change and must come with a
+// deliberate baseline update. Wall-clock compile_time_ns is
+// machine-dependent and has no rule, so it is informational only.
+func DefaultThresholds() []Threshold {
+	return []Threshold{
+		{Metric: "latency_ns", Rel: 1e-9, Abs: 1e-9},
+		{Metric: "fidelity", Abs: 1e-9, HigherIsBetter: true},
+		{Metric: "pulses"},
+		{Metric: "blocks"},
+		{Metric: "vugs"},
+		{Metric: "cnots"},
+		{Metric: "synth_fallbacks"},
+		{Metric: "qoc_runs"},
+		{Metric: "warm_starts"},
+		{Metric: "degraded"},
+		// qoc_time_ns is wall clock, but unlike whole-compile time it is
+		// the store-warm gate's success metric: a warm run serves every
+		// pulse from the store, so stage 5 collapses to library lookups.
+		// The absolute slack absorbs machine noise; a warm run that
+		// re-enters GRAPE blows past it by an order of magnitude.
+		{Metric: "qoc_time_ns", Abs: 2.5e8},
+	}
 }
 
 // ParseFailOn parses the -fail-on grammar:
@@ -328,17 +359,17 @@ type FailRule struct {
 //
 // where limit is an absolute delta ("latency_ns=100") or a percentage
 // ("latency_ns=2%"). "metric=0" means any worsening fails.
-func ParseFailOn(spec string) ([]FailRule, error) {
+func ParseFailOn(spec string) ([]Threshold, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("report: empty -fail-on spec")
 	}
-	var rules []FailRule
+	var rules []Threshold
 	for _, clause := range strings.Split(spec, ",") {
 		name, limit, ok := strings.Cut(strings.TrimSpace(clause), "=")
 		if !ok || name == "" {
 			return nil, fmt.Errorf("report: -fail-on clause %q: want metric=limit", clause)
 		}
-		r := FailRule{Metric: name}
+		r := Threshold{Metric: name, HigherIsBetter: higherIsBetter(name)}
 		if pct, isPct := strings.CutSuffix(limit, "%"); isPct {
 			v, err := strconv.ParseFloat(pct, 64)
 			if err != nil || v < 0 {
@@ -358,19 +389,21 @@ func ParseFailOn(spec string) ([]FailRule, error) {
 }
 
 // higherIsBetter says which direction is a regression for a metric:
-// the bench gate's threshold table is authoritative for its metrics,
-// and rates/fidelity-like names default to higher-is-better.
+// the default policy is authoritative for its metrics, and
+// rates/fidelity-like names default to higher-is-better.
 func higherIsBetter(metric string) bool {
-	if th, ok := DefaultThresholds()[metric]; ok {
-		return th.HigherIsBetter
+	for _, th := range DefaultThresholds() {
+		if th.Metric == metric {
+			return th.HigherIsBetter
+		}
 	}
 	return strings.HasSuffix(metric, "hit_rate") || strings.HasSuffix(metric, "fidelity")
 }
 
-// GateDiff applies -fail-on rules to a diff and returns one violation
-// line per breach: a gated metric that worsened past its allowance,
-// or that disappeared from the current side entirely (coverage loss).
-func GateDiff(d *RunDiff, rules []FailRule) []string {
+// GateDiff applies rules to a diff and returns one violation line per
+// breach, sorted: a gated metric that worsened past its allowance, or
+// that disappeared from the current side entirely (coverage loss).
+func GateDiff(d *RunDiff, rules []Threshold) []string {
 	var out []string
 	for _, rule := range rules {
 		for _, r := range d.Rows {
@@ -386,9 +419,9 @@ func GateDiff(d *RunDiff, rules []FailRule) []string {
 					scope, r.Metric))
 				continue
 			}
-			slack := abs(r.Base)*rule.Rel + rule.Abs
+			slack := math.Abs(r.Base)*rule.Rel + rule.Abs
 			worse := r.Cur - r.Base // lower-is-better: positive is worse
-			if higherIsBetter(r.Metric) {
+			if rule.HigherIsBetter {
 				worse = r.Base - r.Cur
 			}
 			// Strict inequality: "=0" tolerates float-identical values
@@ -401,4 +434,27 @@ func GateDiff(d *RunDiff, rules []FailRule) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// GateArtifacts is the bench gate: it diffs current against baseline
+// and applies DefaultThresholds. Artifacts that cannot be compared are
+// an error, not a violation list: a different suite, a different
+// config fingerprint, or a baseline circuit missing from the current
+// run (coverage loss must fail the gate, not slip through).
+func GateArtifacts(baseline, current *BenchArtifact) (*RunDiff, []string, error) {
+	if baseline.Suite != current.Suite {
+		return nil, nil, fmt.Errorf("report: baseline suite %q, current %q", baseline.Suite, current.Suite)
+	}
+	if baseline.ConfigFingerprint != current.ConfigFingerprint {
+		return nil, nil, fmt.Errorf("report: config fingerprint changed (baseline %.12s…, current %.12s…): refresh the baseline deliberately",
+			baseline.ConfigFingerprint, current.ConfigFingerprint)
+	}
+	base, cur := fromArtifact("baseline", baseline), fromArtifact("current", current)
+	for _, c := range baseline.Circuits {
+		if _, ok := cur.Circuits[c.Name]; !ok {
+			return nil, nil, fmt.Errorf("report: circuit %q in baseline but missing from current run", c.Name)
+		}
+	}
+	d := DiffRunStats(base, cur)
+	return d, GateDiff(d, DefaultThresholds()), nil
 }

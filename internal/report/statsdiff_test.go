@@ -179,3 +179,56 @@ func TestParseFailOnErrors(t *testing.T) {
 		t.Fatalf("rules: %+v", rules)
 	}
 }
+
+// TestGateArtifacts is the bench gate's contract (epoc-bench
+// -baseline): improvements and informational movement pass, every
+// gated worsening is one sorted violation, and incomparable artifacts
+// are an error rather than a violation list.
+func TestGateArtifacts(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		edit       func(cur *BenchArtifact)
+		violations []string // "circuit: metric" prefixes, in order
+		wantErr    bool
+	}{
+		{name: "clean", edit: func(cur *BenchArtifact) {
+			cur.Circuits[0].Metrics["latency_ns"] = 900
+			cur.Circuits[0].Metrics["fidelity"] = 0.9995
+			cur.Circuits[1].Metrics["compile_time_ns"] = 9e9
+		}},
+		{name: "regressions", edit: func(cur *BenchArtifact) {
+			cur.Circuits[0].Metrics["latency_ns"] = 1001 // worse latency
+			cur.Circuits[1].Metrics["fidelity"] = 0.99   // worse fidelity
+			cur.Circuits[1].Metrics["pulses"] = 21       // count crept up
+		}, violations: []string{"bv_5: latency_ns", "qft_4: fidelity", "qft_4: pulses"}},
+		{name: "fingerprint", edit: func(cur *BenchArtifact) { cur.ConfigFingerprint = "different" }, wantErr: true},
+		{name: "suite", edit: func(cur *BenchArtifact) { cur.Suite = "large" }, wantErr: true},
+		{name: "dropped circuit", edit: func(cur *BenchArtifact) { cur.Circuits = cur.Circuits[:1] }, wantErr: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base, cur := artifactPair()
+			tc.edit(cur)
+			d, got, err := GateArtifacts(base, cur)
+			if tc.wantErr {
+				if err == nil {
+					t.Fatal("incomparable artifacts were gated")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(tc.violations) {
+				t.Fatalf("violations %v, want %v", got, tc.violations)
+			}
+			for i, v := range got {
+				if !strings.HasPrefix(v, tc.violations[i]+" worsened") {
+					t.Fatalf("violation %d = %q, want %s worsened", i, v, tc.violations[i])
+				}
+			}
+			if !strings.Contains(FormatDiff(d), "compile_time_ns") {
+				t.Fatal("diff table leaves out the informational metric")
+			}
+		})
+	}
+}

@@ -26,10 +26,15 @@
 //     (start, name, attributes) rather than by creation order — so a
 //     compile under a fake clock exports byte-identical traces at any
 //     worker count, which is what the golden tests pin.
+//   - One instrument per region. A span bound to a Timer (Span.Time;
+//     children inherit the binding) records its own duration into
+//     that Timer when it ends, under the span's name. Core binds the
+//     compile's *obs.Recorder to the compile root, so the obs timers,
+//     the trace and the stage log records all read one interval.
 //
 // The package is an import leaf (like internal/obs and
-// internal/faultclock): it defines its own Clock interface rather
-// than importing faultclock's, and both packages' clocks satisfy it.
+// internal/faultclock): it defines its own Clock and Timer interfaces
+// rather than importing faultclock or obs, whose types satisfy them.
 package trace
 
 import (
@@ -47,6 +52,13 @@ type Clock interface {
 type realClock struct{}
 
 func (realClock) Now() time.Time { return time.Now() }
+
+// Timer receives the duration of every ended span bound to it, under
+// the span's name; *obs.Recorder implements it. Implementations must
+// be goroutine-safe.
+type Timer interface {
+	RecordDuration(name string, d time.Duration)
+}
 
 // Tracer collects spans for one or more compilations. All methods are
 // goroutine-safe and no-ops on a nil receiver.
@@ -102,7 +114,8 @@ type Span struct {
 	end    time.Time
 	ended  bool
 	attrs  []Attr
-	seq    int // per-tracer registration sequence (stable-sort fallback)
+	seq    int   // per-tracer registration sequence (stable-sort fallback)
+	timer  Timer // inherited from the parent; fed by End
 
 	// children is populated only during export (single goroutine),
 	// holding the canonically ordered child list for the emit walk.
@@ -135,12 +148,26 @@ func (t *Tracer) register(parent *Span, name string) *Span {
 		t.epoch = now
 	}
 	sp := &Span{tr: t, parent: parent, name: name, start: now, seq: len(t.spans)}
+	if parent != nil {
+		sp.timer = parent.timer
+	}
 	t.spans = append(t.spans, sp)
 	t.mu.Unlock()
 	return sp
 }
 
-// End closes the span at the tracer's current clock reading. A second
+// Time binds t to the span and to every child started from it
+// afterwards, and returns the span. Bind before starting children.
+func (s *Span) Time(t Timer) *Span {
+	if s == nil {
+		return nil
+	}
+	s.timer = t
+	return s
+}
+
+// End closes the span at the tracer's current clock reading and, when
+// the span is bound to a Timer, records its duration there. A second
 // End is a no-op, so `defer sp.End()` composes with an earlier
 // explicit End on the happy path.
 func (s *Span) End() {
@@ -149,6 +176,17 @@ func (s *Span) End() {
 	}
 	s.ended = true
 	s.end = s.tr.clock.Now()
+	if s.timer != nil {
+		s.timer.RecordDuration(s.name, s.end.Sub(s.start))
+	}
+}
+
+// Duration returns the span's length once it has ended, else 0.
+func (s *Span) Duration() time.Duration {
+	if s == nil || !s.ended {
+		return 0
+	}
+	return s.end.Sub(s.start)
 }
 
 // ID returns the span's stable identifier within its tracer,

@@ -215,6 +215,40 @@ func TestDoubleEndNoop(t *testing.T) {
 	}
 }
 
+// timings is a Timer that keeps every recorded duration by name.
+type timings map[string][]time.Duration
+
+func (t timings) RecordDuration(name string, d time.Duration) { t[name] = append(t[name], d) }
+
+// TestTimeFeedsBoundTimer pins the one-instrument contract: a span
+// bound with Time records its own interval into the Timer when it
+// ends, children started afterwards inherit the binding, a second End
+// records nothing, and spans of an unbound tree record nowhere.
+func TestTimeFeedsBoundTimer(t *testing.T) {
+	clock := faultclock.NewFake()
+	tr := trace.New(clock)
+	rec := timings{}
+	unbound := tr.Start("other")
+	root := tr.Start("compile").Time(rec)
+	stage := root.Child("stage/zx")
+	clock.Advance(3 * time.Millisecond)
+	stage.End()
+	stage.End()
+	clock.Advance(time.Millisecond)
+	root.End()
+	unbound.Child("probe").End()
+	unbound.End()
+	if got := rec["stage/zx"]; len(got) != 1 || got[0] != 3*time.Millisecond || stage.Duration() != got[0] {
+		t.Fatalf("stage/zx timer %v, span duration %v, want one 3ms entry", got, stage.Duration())
+	}
+	if got := rec["compile"]; len(got) != 1 || got[0] != 4*time.Millisecond {
+		t.Fatalf("compile timer %v, want one 4ms entry", got)
+	}
+	if len(rec) != 2 {
+		t.Fatalf("unbound spans recorded into the timer: %v", rec)
+	}
+}
+
 // chromeEvent is the subset of the trace-event schema the tests read.
 type chromeEvent struct {
 	Name string                 `json:"name"`
