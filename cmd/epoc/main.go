@@ -54,7 +54,7 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a runtime/pprof heap profile to this file")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON span trace to this file (load in Perfetto or chrome://tracing)")
 		reportOut  = flag.String("report", "", "write a machine-readable run manifest (metrics, obs snapshot, trace summary, config fingerprint) to this file")
-		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof and expvar obs counters on this address while compiling (e.g. localhost:6060)")
+		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and the live obs counters on /metrics at this address while compiling (e.g. localhost:6060)")
 		storePath  = flag.String("store", "", "persistent pulse/synth store root: reuse pulses from earlier runs, warm-start GRAPE from near matches, flush new entries on exit")
 	)
 	flag.Parse()
@@ -79,7 +79,6 @@ func main() {
 		GRAPEIters: *grape,
 		Workers:    *workers,
 		Budgets:    b,
-		StorePath:  *storePath,
 	}
 	var rec *obs.Recorder
 	if *stats || *reportOut != "" {
@@ -106,6 +105,15 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -mode %q", *mode))
 	}
+	if *storePath != "" {
+		// The namespace depends on the mode, so the store opens after it
+		// is set.
+		st, err := core.OpenStore(*storePath, opts)
+		if err != nil {
+			fatal(err)
+		}
+		opts.Store = st
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -114,6 +122,11 @@ func main() {
 		defer cancelCompile()
 	}
 	res, err := core.CompileContext(ctx, c, opts)
+	if opts.Store != nil {
+		if cerr := opts.Store.Close(); cerr != nil {
+			fmt.Fprintln(os.Stderr, "epoc: store close:", cerr)
+		}
+	}
 	if err != nil {
 		fatal(err)
 	}

@@ -198,21 +198,3 @@ func (c *Circuit) String() string {
 	}
 	return b.String()
 }
-
-// Stats summarizes a circuit for reports.
-type Stats struct {
-	Qubits   int
-	Gates    int
-	TwoQubit int
-	Depth    int
-}
-
-// GetStats computes summary statistics.
-func (c *Circuit) GetStats() Stats {
-	return Stats{
-		Qubits:   c.NumQubits,
-		Gates:    len(c.Ops),
-		TwoQubit: c.TwoQubitCount(),
-		Depth:    c.Depth(),
-	}
-}

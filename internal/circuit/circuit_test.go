@@ -154,9 +154,8 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestStatsAndString(t *testing.T) {
 	c := bell()
-	st := c.GetStats()
-	if st.Qubits != 2 || st.Gates != 2 || st.TwoQubit != 1 || st.Depth != 2 {
-		t.Fatalf("stats = %+v", st)
+	if c.NumQubits != 2 || c.Len() != 2 || c.TwoQubitCount() != 1 || c.Depth() != 2 {
+		t.Fatalf("stats: qubits %d gates %d two-qubit %d depth %d", c.NumQubits, c.Len(), c.TwoQubitCount(), c.Depth())
 	}
 	if len(c.String()) == 0 || len(c.Ops[0].String()) == 0 {
 		t.Fatal("empty String()")

@@ -72,7 +72,6 @@ func TestCancelAtEveryTripPoint(t *testing.T) {
 		{"grape-iter", faultclock.SiteGRAPEIter, 3, Options{Strategy: EPOC}},
 		{"duration-probe", faultclock.SiteDurationProbe, 2, Options{Strategy: EPOC}},
 		{"duration-probe-parallel", faultclock.SiteDurationProbe, 2, Options{Strategy: EPOC, Workers: 4}},
-		{"crab-restart", faultclock.SiteCRABRestart, 1, Options{Strategy: EPOC, Algorithm: AlgCRAB}},
 		{"grape-iter-accqoc", faultclock.SiteGRAPEIter, 2, Options{Strategy: AccQOC}},
 	}
 	c, _ := benchcirc.Get("ghz")

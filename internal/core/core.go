@@ -80,7 +80,7 @@ type Budgets struct {
 	SynthTime  time.Duration // stage-3 (block synthesis) deadline
 	QOCTime    time.Duration // stage-5 (pulse optimization) deadline
 	SynthNodes int           // per-block QSearch node-expansion cap
-	QOCIters   int           // per-run GRAPE/CRAB iteration cap
+	QOCIters   int           // per-run GRAPE iteration cap
 }
 
 // Zero reports whether no budget is configured.
@@ -94,9 +94,10 @@ type Options struct {
 	Strategy Strategy
 	Device   *hardware.Device
 
-	// Partitioning (Algorithm 1) limits. Defaults depend on strategy.
+	// Partitioning (Algorithm 1) qubit limit (default 2). The gate
+	// limit follows the strategy: 4 for AccQOC, 6 for PAQOC, 16 for
+	// the EPOC flows.
 	PartitionMaxQubits int
-	PartitionMaxGates  int
 	// Regrouping limit for the full EPOC flow (default 2).
 	RegroupMaxQubits int
 
@@ -104,18 +105,16 @@ type Options struct {
 	// the strategy but overridable for ablations.
 	UseZX *bool
 
-	// Pulse library reuse. Library may be shared across compilations;
-	// when nil a fresh one is created. MatchGlobalPhase defaults to
-	// true for EPOC flows and false for AccQOC/PAQOC (the paper's
-	// distinction).
-	Library          *pulse.Library
-	MatchGlobalPhase *bool
+	// Library is the pulse library, which may be shared across
+	// compilations. When nil a fresh one is created that matches up to
+	// global phase for EPOC flows and exactly for AccQOC/PAQOC (the
+	// paper's distinction); a supplied library carries its own flag.
+	Library *pulse.Library
 
 	// QOC tuning.
 	Mode           QOCMode
 	FidelityTarget float64 // default 0.999
 	GRAPEIters     int     // default 200
-	SlotStep2Q     int     // duration-search grid step for ≥2q blocks (default 8)
 	Seed           int64   // default 1
 
 	// Synthesis tuning (EPOC flows only).
@@ -135,22 +134,17 @@ type Options struct {
 	// flushed after. The store's namespace must match this
 	// configuration's (core.StoreNamespace); a mismatched store is
 	// ignored for the compile — never read, never written — because its
-	// records were produced under different physics or tuning.
+	// records were produced under different physics or tuning. Open it
+	// with OpenStore; the caller owns it and closes it.
+	//
+	// Passing a Store also turns on GRAPE warm starts in full mode
+	// (AccQOC keeps its own MST warm starts): on a library miss, GRAPE
+	// is seeded from the nearest library entry (by phase-invariant
+	// similarity, internal/qoc/similarity.go) instead of a cold random
+	// start. Warm candidates are snapshotted once at
+	// QOC-stage entry, so results stay byte-identical at any worker
+	// count.
 	Store *store.Store
-
-	// StorePath, when Store is nil, opens a per-compile store under
-	// this root directory (namespace derived from the options) and
-	// closes it after the compile — the one-shot CLI convenience.
-	// Long-lived processes should open once and share via Store.
-	StorePath string
-
-	// WarmStart seeds GRAPE from the nearest stored library entry (by
-	// phase-invariant similarity, internal/qoc/similarity.go) on a
-	// library miss, instead of a cold random start. nil defaults to
-	// true when a store is attached, false otherwise. Warm candidates
-	// are snapshotted once at QOC-stage entry, so results stay
-	// byte-identical at any worker count.
-	WarmStart *bool
 
 	// Workers sets the number of goroutines used for block synthesis
 	// and for QOC on distinct block unitaries (default 1; >1 helps on
@@ -167,9 +161,6 @@ type Options struct {
 	// Route maps the circuit onto the device coupler topology before
 	// partitioning, decomposing ≥3-qubit gates and inserting SWAPs.
 	Route bool
-
-	// Algorithm selects the pulse optimizer (default GRAPE).
-	Algorithm QOCAlgorithm
 
 	// Obs, when non-nil, records per-stage timings, optimizer
 	// convergence metrics and library cache behaviour for this compile
@@ -236,6 +227,10 @@ type Options struct {
 	compileSpan *trace.Span
 	synthSpan   *trace.Span
 	qocSpan     *trace.Span
+	// warmStart records whether a Store was passed, before attachStore
+	// may drop a mismatched one: a shared store in another namespace
+	// still warm-starts GRAPE from the shared library.
+	warmStart bool
 	// warmCands/warmUs are the warm-start candidate snapshot taken at
 	// stage-5 entry (see snapshotWarmCands): the exported library
 	// entries, and a parallel matrix slice with nil holes for entries
@@ -282,15 +277,6 @@ func (o *Options) stageGate(budget time.Duration) *faultclock.Gate {
 	return &faultclock.Gate{Ctx: o.ctx, Clock: o.Clock, Deadline: deadline, Inj: o.Inject}
 }
 
-// QOCAlgorithm selects the optimal-control algorithm.
-type QOCAlgorithm int
-
-// Supported pulse optimizers (paper §2.4 discusses both).
-const (
-	AlgGRAPE QOCAlgorithm = iota
-	AlgCRAB
-)
-
 func (o *Options) withDefaults() Options {
 	out := *o
 	if out.Device == nil {
@@ -304,24 +290,7 @@ func (o *Options) withDefaults() Options {
 		panic(fmt.Sprintf("core: unknown strategy %q", out.Strategy))
 	}
 	if out.PartitionMaxQubits == 0 {
-		switch out.Strategy {
-		case AccQOC:
-			out.PartitionMaxQubits = 2
-		default:
-			out.PartitionMaxQubits = 2
-		}
-	}
-	if out.PartitionMaxGates == 0 {
-		switch out.Strategy {
-		case AccQOC:
-			// AccQOC slices the circuit into small uniform subcircuits.
-			out.PartitionMaxGates = 4
-		case PAQOC:
-			// PAQOC pulses mined gate patterns of a few gates each.
-			out.PartitionMaxGates = 6
-		default:
-			out.PartitionMaxGates = 16
-		}
+		out.PartitionMaxQubits = 2
 	}
 	if out.RegroupMaxQubits == 0 {
 		out.RegroupMaxQubits = 2
@@ -330,21 +299,14 @@ func (o *Options) withDefaults() Options {
 		zx := out.Strategy == EPOC || out.Strategy == EPOCNoGroup
 		out.UseZX = &zx
 	}
-	if out.MatchGlobalPhase == nil {
-		match := out.Strategy == EPOC || out.Strategy == EPOCNoGroup
-		out.MatchGlobalPhase = &match
-	}
 	if out.Library == nil {
-		out.Library = pulse.NewLibrary(*out.MatchGlobalPhase)
+		out.Library = pulse.NewLibrary(out.Strategy == EPOC || out.Strategy == EPOCNoGroup)
 	}
 	if out.FidelityTarget == 0 {
 		out.FidelityTarget = 0.999
 	}
 	if out.GRAPEIters == 0 {
 		out.GRAPEIters = 200
-	}
-	if out.SlotStep2Q == 0 {
-		out.SlotStep2Q = 8
 	}
 	if out.Seed == 0 {
 		out.Seed = 1
@@ -358,10 +320,7 @@ func (o *Options) withDefaults() Options {
 	if out.SynthCache == nil {
 		out.SynthCache = synth.NewCache()
 	}
-	if out.WarmStart == nil {
-		warm := out.Store != nil || out.StorePath != ""
-		out.WarmStart = &warm
-	}
+	out.warmStart = out.Store != nil
 	return out
 }
 
@@ -453,7 +412,7 @@ func Compile(c *circuit.Circuit, opts Options) (*Result, error) {
 
 // CompileContext is Compile under a context. Cancellation is observed
 // at stage boundaries and inside every expensive loop (QSearch node
-// expansions, GRAPE/CRAB iterations, duration-search probes, cache
+// expansions, GRAPE iterations, duration-search probes, cache
 // waits); a canceled compile returns the context's error promptly,
 // discards partial work, and leaks no goroutines. Budget expiry (see
 // Options.Budgets) instead degrades: the result is still returned,
@@ -480,18 +439,9 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, opts Options) (*Res
 		SetInt("gates", int64(c.Len()))
 	defer tsp.End()
 	o.compileSpan = tsp
-	ownedStore, err := attachStore(&o)
-	if err != nil {
-		return nil, err
-	}
-	if ownedStore != nil {
-		defer func() {
-			if cerr := ownedStore.Close(); cerr != nil {
-				o.Obs.Add("store/flush_errors", 1)
-			}
-		}()
-	}
+	attachStore(&o)
 	var res *Result
+	var err error
 	switch o.Strategy {
 	case GateBased:
 		res, err = compileGateBased(c, o)

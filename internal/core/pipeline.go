@@ -122,7 +122,7 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 	_ = o.stage("stage/partition", func(*trace.Span) error {
 		blocks = partition.Partition(work, partition.Options{
 			MaxQubits: o.PartitionMaxQubits,
-			MaxGates:  o.PartitionMaxGates,
+			MaxGates:  partitionMaxGates(o.Strategy),
 		})
 		return nil
 	})
@@ -207,7 +207,7 @@ func compileQOC(c *circuit.Circuit, o Options) (*Result, error) {
 		// same snapshot, so the choice — and therefore the output —
 		// cannot depend on worker scheduling. AccQOC keeps its own MST
 		// warm-start policy.
-		if o.Mode == QOCFull && *o.WarmStart && o.Strategy != AccQOC {
+		if o.Mode == QOCFull && o.warmStart && o.Strategy != AccQOC {
 			snapshotWarmCands(&o)
 		}
 		if o.Mode == QOCFull {
@@ -558,6 +558,26 @@ func mstPrefill(pulsed *circuit.Circuit, o Options, st *Stats) error {
 	return nil
 }
 
+// slotStep2Q is the duration-search grid step, in slots, for 2-qubit
+// blocks; wider blocks search on twice this grid and 1-qubit blocks on
+// a grid of 2.
+const slotStep2Q = 8
+
+// partitionMaxGates is the per-block gate limit of stage 2 for a
+// strategy.
+func partitionMaxGates(s Strategy) int {
+	switch s {
+	case AccQOC:
+		// AccQOC slices the circuit into small uniform subcircuits.
+		return 4
+	case PAQOC:
+		// PAQOC pulses mined gate patterns of a few gates each.
+		return 6
+	default:
+		return 16
+	}
+}
+
 // log2 returns the base-2 logarithm of a power-of-two dimension.
 func log2(dim int) int {
 	n := 0
@@ -621,33 +641,21 @@ func pulseForWarm(u *linalg.Matrix, op circuit.Op, o Options, st *Stats, warm []
 	maxSlots := o.Device.MaxSlots(k)
 	step := 2
 	if k == 2 {
-		step = o.SlotStep2Q
+		step = slotStep2Q
 	} else if k > 2 {
-		step = 2 * o.SlotStep2Q
+		step = 2 * slotStep2Q
 	}
 	st.QOCRuns++
-	var run qoc.Runner
-	if o.Algorithm == AlgCRAB {
-		cfg := qoc.CRABConfig{
-			Target:      o.FidelityTarget,
-			Seed:        o.Seed,
-			Obs:         o.Obs,
-			Gate:        o.qocGate,
-			BudgetIters: o.Budgets.QOCIters,
-		}
-		run = func(slots int) qoc.Result { return qoc.CRAB(model, u, slots, cfg) }
-	} else {
-		cfg := qoc.GRAPEConfig{
-			MaxIter:     o.GRAPEIters,
-			Target:      o.FidelityTarget,
-			Seed:        o.Seed,
-			Obs:         o.Obs,
-			Gate:        o.qocGate,
-			BudgetIters: o.Budgets.QOCIters,
-		}
-		// A nil warm start is plain GRAPE.
-		run = func(slots int) qoc.Result { return qoc.WarmStartGRAPE(model, u, slots, warm, cfg) }
+	cfg := qoc.GRAPEConfig{
+		MaxIter:     o.GRAPEIters,
+		Target:      o.FidelityTarget,
+		Seed:        o.Seed,
+		Obs:         o.Obs,
+		Gate:        o.qocGate,
+		BudgetIters: o.Budgets.QOCIters,
 	}
+	// A nil warm start is plain GRAPE.
+	run := func(slots int) qoc.Result { return qoc.WarmStartGRAPE(model, u, slots, warm, cfg) }
 	r := qoc.SearchDuration(o.qocGate, 2, maxSlots, step, o.FidelityTarget, probed(tsp, o.Obs, run))
 	tsp.SetInt("slots", int64(r.Slots)).
 		SetInt("iterations", int64(r.Iterations)).

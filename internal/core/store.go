@@ -12,18 +12,19 @@ import (
 // configuration: the codec version plus a sha256 over every knob that
 // shapes stored artifacts. Two Options with the same namespace produce
 // interchangeable pulses and syntheses; anything that would change
-// them — the QOC mode or algorithm, fidelity target, iteration count,
-// seed, slot grid, synthesis tuning, or the device physics — lands in
-// a different namespace directory, which is the store's entire
-// invalidation mechanism (DESIGN.md §12).
+// them — the QOC mode, fidelity target, iteration count, seed,
+// synthesis tuning, or the device physics — lands in a different
+// namespace directory, which is the store's entire invalidation
+// mechanism (DESIGN.md §12).
 //
-// Deliberately excluded: strategy and MatchGlobalPhase (records are
-// re-keyed on import, so flows share warm entries), worker count (the
-// pipeline is worker-count invariant), partition/regroup limits (the
-// store is keyed by unitary — which unitaries appear doesn't change
-// what a record means), budgets (degraded results are never stored),
-// and the device's qubit count (pulses are per-block, not per-chip, so
-// a 5-qubit and a 50-qubit chain with the same physics share entries).
+// Deliberately excluded: strategy and the library's global-phase
+// matching (records are re-keyed on import, so flows share warm
+// entries), worker count (the pipeline is worker-count invariant),
+// partition/regroup limits (the store is keyed by unitary — which
+// unitaries appear doesn't change what a record means), budgets
+// (degraded results are never stored), and the device's qubit count
+// (pulses are per-block, not per-chip, so a 5-qubit and a 50-qubit
+// chain with the same physics share entries).
 func StoreNamespace(opts Options) string {
 	o := opts.withDefaults()
 	return store.Namespace(storeConfig(&o))
@@ -34,30 +35,24 @@ func StoreNamespace(opts Options) string {
 // compiles and Close it when done.
 func OpenStore(root string, opts Options) (*store.Store, error) {
 	o := opts.withDefaults()
-	st, err := store.Open(root, store.Namespace(storeConfig(&o)))
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
+	return store.Open(root, store.Namespace(storeConfig(&o)))
 }
 
 // storeConfig flattens the namespace-relevant knobs of a defaulted
-// Options. Keep in sync with the StoreNamespace doc comment.
+// Options. Keep in sync with the StoreNamespace doc comment. The
+// "algorithm" and "slot_step_2q" entries are constants; they stay in
+// the map so existing namespace directories keep their names.
 func storeConfig(o *Options) map[string]string {
 	mode := "full"
 	if o.Mode == QOCEstimate {
 		mode = "estimate"
 	}
-	alg := "grape"
-	if o.Algorithm == AlgCRAB {
-		alg = "crab"
-	}
 	return map[string]string{
 		"mode":               mode,
-		"algorithm":          alg,
+		"algorithm":          "grape",
 		"fidelity_target":    fmt.Sprintf("%g", o.FidelityTarget),
 		"grape_iters":        strconv.Itoa(o.GRAPEIters),
-		"slot_step_2q":       strconv.Itoa(o.SlotStep2Q),
+		"slot_step_2q":       strconv.Itoa(slotStep2Q),
 		"seed":               strconv.FormatInt(o.Seed, 10),
 		"synth_max_cnots":    strconv.Itoa(o.Synth.MaxCNOTs),
 		"synth_max_nodes":    strconv.Itoa(o.Synth.MaxNodes),
@@ -70,27 +65,16 @@ func storeConfig(o *Options) map[string]string {
 	}
 }
 
-// attachStore resolves the compile's store: Options.Store when its
-// namespace matches this configuration, else a store opened from
-// StorePath (owned by this compile and closed by detachStore). A
-// shared store whose namespace does not match is dropped for this
-// compile — its records were produced under other knobs, and warming
-// from them would be exactly the cache poisoning the namespace exists
-// to prevent.
-func attachStore(o *Options) (owned *store.Store, err error) {
-	ns := store.Namespace(storeConfig(o))
-	if o.Store != nil && o.Store.Namespace() != ns {
+// attachStore warms the compile's caches from Options.Store when the
+// store's namespace matches this configuration. A shared store whose
+// namespace does not match is dropped for this compile — its records
+// were produced under other knobs, and warming from them would be
+// exactly the cache poisoning the namespace exists to prevent.
+func attachStore(o *Options) {
+	if o.Store != nil && o.Store.Namespace() != store.Namespace(storeConfig(o)) {
 		o.Obs.Add("store/namespace_mismatch", 1)
 		o.compileSpan.SetStr("store", "namespace_mismatch")
 		o.Store = nil
-	}
-	if o.Store == nil && o.StorePath != "" {
-		st, err := store.Open(o.StorePath, ns)
-		if err != nil {
-			return nil, err
-		}
-		o.Store = st
-		owned = st
 	}
 	if o.Store != nil {
 		wp := o.Store.WarmLibrary(o.Library)
@@ -100,7 +84,6 @@ func attachStore(o *Options) (owned *store.Store, err error) {
 		o.compileSpan.SetInt("store_warm_pulses", int64(wp)).
 			SetInt("store_warm_synth", int64(ws))
 	}
-	return owned, nil
 }
 
 // harvestStore persists what the compile learned: every new library

@@ -1,19 +1,17 @@
 // Package debugsrv serves the live-debugging endpoints behind the
 // CLIs' -debug-addr flag and mounted into epoc-serve's request mux:
 // net/http/pprof's profiling handlers under /debug/pprof, the
-// process's expvar page at /debug/vars with the attached obs
-// recorder's counters published under "epoc", and the Prometheus
-// exposition at /metrics (internal/metrics). Watching a long compile
-// then needs no instrumentation beyond the flag:
+// process's expvar page at /debug/vars, and the attached obs
+// recorder's Prometheus exposition at /metrics (internal/metrics).
+// Watching a long compile then needs no instrumentation beyond the
+// flag:
 //
 //	epoc -in circuit.qasm -debug-addr localhost:6060 &
 //	go tool pprof http://localhost:6060/debug/pprof/profile
-//	curl -s localhost:6060/debug/vars | jq .epoc
 //	curl -s localhost:6060/metrics
 package debugsrv
 
 import (
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"net"
@@ -25,62 +23,24 @@ import (
 )
 
 // Register mounts the debug endpoints on mux — /debug/pprof/*,
-// /debug/vars, and /metrics — with rec as the recorder behind both the
-// "epoc" expvar key and the Prometheus exposition (nil is allowed and
-// publishes an empty map / empty exposition).
-//
-// The recorder binding is per-mux, not process-global: /debug/vars is
-// served by a closure over rec rather than an expvar.Publish, so two
-// servers in one process (the two-servers-one-store test shape) each
-// export their own recorder instead of the last registration silently
-// winning. The rest of the expvar page (memstats, cmdline, anything
-// the process published) still renders through expvar.Do.
+// /debug/vars, and /metrics — with rec as the recorder behind the
+// Prometheus exposition (nil is allowed and serves an empty
+// exposition). /debug/vars is the stdlib expvar page (cmdline,
+// memstats, anything the process published); the recorder's counters
+// are on /metrics, bound per mux, so two servers in one process each
+// export their own.
 func Register(mux *http.ServeMux, rec *obs.Recorder) {
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/vars", varsHandler(rec))
+	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/metrics", metrics.Handler(rec.Snapshot, nil))
 }
 
-// varsHandler renders the expvar page with rec's counters under the
-// "epoc" key, mirroring expvar.Handler()'s output shape. Process-wide
-// expvars still appear; a conflicting process-global "epoc" var (from
-// an older binary that published one) is skipped in favor of the
-// per-mux recorder.
-func varsHandler(rec *obs.Recorder) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintf(w, "{\n")
-		first := true
-		expvar.Do(func(kv expvar.KeyValue) {
-			if kv.Key == "epoc" {
-				return
-			}
-			if !first {
-				fmt.Fprintf(w, ",\n")
-			}
-			first = false
-			fmt.Fprintf(w, "%q: %s", kv.Key, kv.Value)
-		})
-		counters := map[string]int64{}
-		if snap := rec.Snapshot(); snap != nil {
-			counters = snap.Counters
-		}
-		// Counters are int64 under string keys; marshaling cannot fail.
-		b, _ := json.Marshal(counters)
-		if !first {
-			fmt.Fprintf(w, ",\n")
-		}
-		fmt.Fprintf(w, "%q: %s", "epoc", b)
-		fmt.Fprintf(w, "\n}\n")
-	}
-}
-
 // Handler returns a standalone mux carrying only the debug endpoints,
-// with rec attached as the expvar recorder.
+// with rec behind /metrics.
 func Handler(rec *obs.Recorder) http.Handler {
 	mux := http.NewServeMux()
 	Register(mux, rec)
@@ -88,8 +48,8 @@ func Handler(rec *obs.Recorder) http.Handler {
 }
 
 // Serve starts the debug HTTP server on addr, exposing /debug/pprof,
-// /debug/vars (with rec's counters under "epoc"; nil is allowed and
-// publishes an empty map) and /metrics. The listener is opened
+// /debug/vars and /metrics (rec's counters; nil is allowed and serves
+// an empty exposition). The listener is opened
 // synchronously so address errors surface to the caller; the serve
 // loop then runs in a background goroutine for the life of the
 // process, matching the flag's use — there is deliberately no Stop. It

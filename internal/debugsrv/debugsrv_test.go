@@ -28,6 +28,23 @@ func get(t *testing.T, url string) []byte {
 	return body
 }
 
+// counter scrapes addr's /metrics and returns the value of the
+// unlabeled counter family name (0 when absent).
+func counter(t *testing.T, addr, name string) float64 {
+	t.Helper()
+	body := string(get(t, fmt.Sprintf("http://%s/metrics", addr)))
+	fams, err := metrics.Parse(body)
+	if err != nil {
+		t.Fatalf("strict parser rejected /metrics: %v\n%s", err, body)
+	}
+	for _, f := range fams {
+		if f.Name == name && len(f.Samples) == 1 {
+			return f.Samples[0].Value
+		}
+	}
+	return 0
+}
+
 func TestServe(t *testing.T) {
 	r := obs.New()
 	r.Add("compiles", 3)
@@ -36,23 +53,24 @@ func TestServe(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var vars struct {
-		Epoc map[string]int64 `json:"epoc"`
+	if got := counter(t, addr, "epoc_compiles_total"); got != 3 {
+		t.Fatalf("epoc_compiles_total = %v, want 3", got)
 	}
-	if err := json.Unmarshal(get(t, fmt.Sprintf("http://%s/debug/vars", addr)), &vars); err != nil {
-		t.Fatal(err)
-	}
-	if vars.Epoc["compiles"] != 3 {
-		t.Fatalf("expvar epoc.compiles = %d, want 3", vars.Epoc["compiles"])
-	}
-
 	// Counters published live: later recording shows without re-Serve.
 	r.Add("compiles", 2)
+	if got := counter(t, addr, "epoc_compiles_total"); got != 5 {
+		t.Fatalf("epoc_compiles_total = %v after update, want 5", got)
+	}
+
+	// /debug/vars is the stdlib expvar page.
+	var vars map[string]json.RawMessage
 	if err := json.Unmarshal(get(t, fmt.Sprintf("http://%s/debug/vars", addr)), &vars); err != nil {
 		t.Fatal(err)
 	}
-	if vars.Epoc["compiles"] != 5 {
-		t.Fatalf("expvar epoc.compiles = %d after update, want 5", vars.Epoc["compiles"])
+	for _, key := range []string{"cmdline", "memstats"} {
+		if _, ok := vars[key]; !ok {
+			t.Fatalf("/debug/vars lacks %q", key)
+		}
 	}
 
 	if body := get(t, fmt.Sprintf("http://%s/debug/pprof/cmdline", addr)); len(body) == 0 {
@@ -68,8 +86,7 @@ func TestServeBadAddr(t *testing.T) {
 
 // TestTwoServersOwnRecorders pins the per-mux recorder binding: two
 // debug servers in one process (the two-servers-one-store shape from
-// internal/serve) must each export their own recorder rather than the
-// last registration winning the process-global expvar key.
+// internal/serve) must each export their own recorder on /metrics.
 func TestTwoServersOwnRecorders(t *testing.T) {
 	ra, rb := obs.New(), obs.New()
 	ra.Add("compiles", 1)
@@ -86,16 +103,10 @@ func TestTwoServersOwnRecorders(t *testing.T) {
 
 	for _, tc := range []struct {
 		addr string
-		want int64
+		want float64
 	}{{addrA, 1}, {addrB, 100}} {
-		var vars struct {
-			Epoc map[string]int64 `json:"epoc"`
-		}
-		if err := json.Unmarshal(get(t, fmt.Sprintf("http://%s/debug/vars", tc.addr)), &vars); err != nil {
-			t.Fatal(err)
-		}
-		if vars.Epoc["compiles"] != tc.want {
-			t.Fatalf("server %s exported compiles=%d, want %d", tc.addr, vars.Epoc["compiles"], tc.want)
+		if got := counter(t, tc.addr, "epoc_compiles_total"); got != tc.want {
+			t.Fatalf("server %s exported compiles=%v, want %v", tc.addr, got, tc.want)
 		}
 	}
 }
@@ -127,14 +138,9 @@ func TestNilRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var vars struct {
-		Epoc map[string]int64 `json:"epoc"`
-	}
+	var vars map[string]json.RawMessage
 	if err := json.Unmarshal(get(t, fmt.Sprintf("http://%s/debug/vars", addr)), &vars); err != nil {
 		t.Fatal(err)
-	}
-	if len(vars.Epoc) != 0 {
-		t.Fatalf("nil recorder exported %v", vars.Epoc)
 	}
 	if body := get(t, fmt.Sprintf("http://%s/metrics", addr)); len(body) != 0 {
 		t.Fatalf("nil recorder /metrics = %q, want empty", body)

@@ -161,34 +161,6 @@ func TestEigHermitianDiagonalInput(t *testing.T) {
 	}
 }
 
-func TestEigSymmetricRealIsReal(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 8; trial++ {
-		n := 2 + rng.Intn(4)
-		s := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				v := complex(rng.NormFloat64(), 0)
-				s.Set(i, j, v)
-				s.Set(j, i, v)
-			}
-		}
-		vals, vecs := EigSymmetricReal(s)
-		for _, v := range vecs.Data {
-			if math.Abs(imag(v)) > 1e-8 {
-				t.Fatalf("eigenvector has imaginary part %v", v)
-			}
-		}
-		d := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			d.Set(i, i, complex(vals[i], 0))
-		}
-		if !vecs.Mul(d).Mul(vecs.Adjoint()).Equal(s, 1e-7) {
-			t.Fatal("real symmetric reconstruction failed")
-		}
-	}
-}
-
 func TestExpmZeroIsIdentity(t *testing.T) {
 	if !Expm(NewMatrix(3, 3)).Equal(Identity(3), tol) {
 		t.Fatal("expm(0) != I")
@@ -254,12 +226,15 @@ func TestExpIHermitianUnitary(t *testing.T) {
 	}
 }
 
+// TestHermitianEigReuse reuses one eigendecomposition for two
+// exponentials, as the GRAPE propagator does.
 func TestHermitianEigReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	h := RandomHermitian(4, rng)
-	e := NewHermitianEig(h)
-	u1 := e.ExpI(0.1)
-	u2 := e.ExpI(0.2)
+	vals, vecs := EigHermitian(h)
+	u1, u2 := NewMatrix(4, 4), NewMatrix(4, 4)
+	ExpIFromEigInto(nil, u1, vals, vecs, 0.1)
+	ExpIFromEigInto(nil, u2, vals, vecs, 0.2)
 	if !u1.Mul(u1).Equal(u2, 1e-8) {
 		t.Fatal("ExpI(0.1)² != ExpI(0.2)")
 	}

@@ -209,26 +209,6 @@ func ExpIHermitianInto(ws *kernel.Workspace, dst, h *Matrix, s float64) {
 	ExpIFromEigInto(ws, dst, vals, &vecs, s)
 }
 
-// HermitianEig bundles a reusable eigendecomposition of a Hermitian
-// matrix.
-type HermitianEig struct {
-	Vals []float64
-	Vecs *Matrix
-}
-
-// NewHermitianEig eagerly diagonalizes h.
-func NewHermitianEig(h *Matrix) *HermitianEig {
-	vals, vecs := EigHermitian(h)
-	return &HermitianEig{Vals: vals, Vecs: vecs}
-}
-
-// ExpI returns e^{i·s·H} from the stored eigendecomposition.
-func (e *HermitianEig) ExpI(s float64) *Matrix {
-	out := NewMatrix(e.Vecs.Rows, e.Vecs.Rows)
-	ExpIFromEigInto(nil, out, e.Vals, e.Vecs, s)
-	return out
-}
-
 // ExpIFromEigInto reconstructs e^{i·s·H} = V·diag(e^{i·s·λ})·V† from an
 // eigendecomposition: it scales V's columns by the phases into a
 // workspace buffer, then runs one fused MulAdjoint — two dense passes

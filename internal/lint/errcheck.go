@@ -8,7 +8,7 @@ import (
 // Errcheck flags calls to in-module functions whose error or trailing
 // (..., ok) result is silently dropped: a bare call statement, or a
 // go/defer of such a call. PR 1 exists because exactly this bug
-// shipped — synth.SynthesizeBlock's fallback signal was ignored and
+// shipped — block synthesis's fallback signal was ignored and
 // Stats.SynthFallback never counted. Stdlib calls are out of scope
 // (go vet and convention cover fmt.Println and friends); the module's
 // own APIs return error/ok for control-flow reasons and dropping them

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"testing"
 )
 
@@ -33,6 +34,22 @@ func TestRepoIsLintClean(t *testing.T) {
 	for rel := range layeringDAG {
 		if _, ok := mod.Packages[modPath+"/"+rel]; !ok {
 			t.Errorf("layeringDAG entry %q names no package in the module; update the table and ARCHITECTURE.md", rel)
+		}
+	}
+	// Likewise every floatcmpAllowed key must name a function in the
+	// module, so deleted or renamed functions cannot leave stale
+	// exemptions behind.
+	funcs := map[string]bool{}
+	for _, pkg := range mod.Packages {
+		for _, obj := range pkg.Info.Defs {
+			if fn, ok := obj.(*types.Func); ok {
+				funcs[fn.FullName()] = true
+			}
+		}
+	}
+	for name := range floatcmpAllowed {
+		if !funcs[name] {
+			t.Errorf("floatcmpAllowed entry %q names no function in the module; update the table", name)
 		}
 	}
 

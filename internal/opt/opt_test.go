@@ -29,20 +29,6 @@ func rosenbrock(x []float64) float64 {
 	return s
 }
 
-func TestAdamSphere(t *testing.T) {
-	res := Adam(sphere, sphereGrad, []float64{3, -2, 1}, AdamConfig{MaxIter: 5000, LearningRate: 0.05})
-	if res.F > 1e-6 {
-		t.Fatalf("Adam did not minimize the sphere: f=%v x=%v", res.F, res.X)
-	}
-}
-
-func TestAdamConvergesFlag(t *testing.T) {
-	res := Adam(sphere, sphereGrad, []float64{0.001, 0.001}, AdamConfig{MaxIter: 5000, LearningRate: 0.05})
-	if !res.Converged {
-		t.Fatal("Adam should report convergence near the optimum")
-	}
-}
-
 func TestLBFGSSphere(t *testing.T) {
 	res := LBFGS(sphere, sphereGrad, []float64{5, -7, 2, 1}, LBFGSConfig{})
 	if res.F > 1e-10 {
@@ -66,28 +52,6 @@ func TestLBFGSRosenbrock(t *testing.T) {
 	}
 }
 
-func TestNelderMeadSphere(t *testing.T) {
-	res := NelderMead(sphere, []float64{2, -3}, NelderMeadConfig{})
-	if res.F > 1e-8 {
-		t.Fatalf("NelderMead sphere: f=%v", res.F)
-	}
-}
-
-func TestNelderMeadRosenbrock2D(t *testing.T) {
-	res := NelderMead(rosenbrock, []float64{-1.2, 1}, NelderMeadConfig{MaxIter: 5000})
-	if res.F > 1e-6 {
-		t.Fatalf("NelderMead Rosenbrock: f=%v x=%v", res.F, res.X)
-	}
-}
-
-func TestNelderMeadNonSmooth(t *testing.T) {
-	f := func(x []float64) float64 { return math.Abs(x[0]-1) + math.Abs(x[1]+2) }
-	res := NelderMead(f, []float64{0, 0}, NelderMeadConfig{MaxIter: 5000, Tol: 1e-12})
-	if res.F > 1e-5 {
-		t.Fatalf("NelderMead |.|: f=%v x=%v", res.F, res.X)
-	}
-}
-
 func TestFiniteDiffGradientMatchesAnalytic(t *testing.T) {
 	g := FiniteDiffGradient(sphere, 1e-6)
 	x := []float64{1.5, -0.5, 2}
@@ -99,18 +63,6 @@ func TestFiniteDiffGradientMatchesAnalytic(t *testing.T) {
 		if math.Abs(num[i]-ana[i]) > 1e-6 {
 			t.Fatalf("grad[%d]: %v vs %v", i, num[i], ana[i])
 		}
-	}
-}
-
-func TestQuickAdamQuadraticRandomStart(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		x0 := []float64{rng.NormFloat64() * 2, rng.NormFloat64() * 2}
-		res := Adam(sphere, sphereGrad, x0, AdamConfig{MaxIter: 8000, LearningRate: 0.05})
-		return res.F < 1e-4
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
 	}
 }
 

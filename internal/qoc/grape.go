@@ -267,8 +267,8 @@ func copyAmps(dst, src [][]float64) {
 	}
 }
 
-// Runner produces an optimized pulse for a given slot count; used by
-// the duration search to abstract over GRAPE and CRAB.
+// Runner produces an optimized pulse for a given slot count; the
+// duration search calls it once per probed slot count.
 type Runner func(slots int) Result
 
 // SearchDuration finds the smallest slot count in [minSlots, maxSlots]

@@ -22,7 +22,7 @@ import (
 // uncached runs are byte-identical at any worker count. In the Adam
 // ascent this pays whenever slices saturate at the hardware amplitude
 // bound or a warm-started schedule only locally differs; callers that
-// change one slice at a time (gradient probes, CRAB restarts) pay
+// change one slice at a time (gradient probes) pay
 // O(slots) products instead of O(slots) eigendecompositions.
 type propCache struct {
 	m     *Model

@@ -99,10 +99,10 @@ type Config struct {
 	// content-addressed and flushes take an advisory flock.
 	StorePath string
 
-	// Debug mounts /debug/pprof and /debug/vars on the server's mux
-	// with the server-wide recorder behind the "epoc" expvar key.
-	// (GET /metrics is always mounted, debug or not: scraping is a
-	// production concern, profiling is not.)
+	// Debug mounts /debug/pprof and the stdlib expvar page
+	// /debug/vars on the server's mux. (GET /metrics is always
+	// mounted, debug or not: scraping is a production concern,
+	// profiling is not.)
 	Debug bool
 
 	// Log, when non-nil, enables structured JSON logging: a per-request
@@ -162,7 +162,7 @@ type Server struct {
 	cache *synth.Cache   // process-wide synthesis cache (goroutine-safe, coalescing)
 	lib   *pulse.Library // process-wide pulse library (goroutine-safe)
 	store *store.Store   // persistent backing for both caches; nil without Config.StorePath
-	rec   *obs.Recorder  // server-wide counters: serve/*, plus expvar export
+	rec   *obs.Recorder  // server-wide counters: serve/*, exported on /metrics
 
 	queue chan *job
 	log   *logx.Logger // nil-safe structured logging (Config.Log)
@@ -346,17 +346,16 @@ func (s *Server) lookup(id string) *job {
 	return s.jobs[id]
 }
 
-// finish records a job's completion for eviction accounting and
-// releases its inflight slot.
-func (s *Server) finish(j *job) {
+// retire records a job's completion for eviction accounting, evicting
+// the oldest finished jobs beyond Config.RetainJobs.
+func (s *Server) retire(j *job) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.finished = append(s.finished, j.id)
 	for len(s.finished) > s.cfg.RetainJobs {
 		delete(s.jobs, s.finished[0])
 		s.finished = s.finished[1:]
 	}
-	s.mu.Unlock()
-	s.inflightWG.Done()
 }
 
 // worker drains the admission queue until Shutdown closes it.
@@ -367,17 +366,26 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one admitted job end to end: skip if the client
+// runJob executes one admitted job end to end and then releases its
+// waiters. Everything the job changes in the server is published
+// first — the per-job recorder (stage timers, cache counters) folded
+// into the server-wide one, the inflight gauge, the eviction ring —
+// so a client that has its response also sees the job reflected in
+// /v1/compile/{id}, /v1/stats and /metrics.
+func (s *Server) runJob(j *job) {
+	defer s.inflightWG.Done()
+	s.inflight.Add(1)
+	state, res, m, apiErr := s.execute(j)
+	s.rec.Merge(j.rec.Snapshot())
+	s.inflight.Add(-1)
+	s.retire(j)
+	j.complete(state, res, m, apiErr)
+}
+
+// execute runs one job and returns its outcome: skip if the client
 // vanished while queued, fail if its deadline already passed, else
 // compile under the derived context and record the outcome.
-func (s *Server) runJob(j *job) {
-	defer s.finish(j)
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	// Fold the per-job recorder — which owns the stage timers and cache
-	// counters — into the server-wide recorder on every exit path, so
-	// /metrics aggregates all requests.
-	defer func() { s.rec.Merge(j.rec.Snapshot()) }()
+func (s *Server) execute(j *job) (state string, res *core.Result, m *report.Manifest, apiErr *apiError) {
 	start := s.now()
 	j.setQueueMS(start)
 	queueMS := float64(start.Sub(j.admitted).Nanoseconds()) / 1e6
@@ -386,18 +394,16 @@ func (s *Server) runJob(j *job) {
 	if j.aborted() {
 		s.rec.Add("serve/canceled", 1)
 		j.log.Warn("job canceled", "reason", "client_gone_queued", "queue_ms", queueMS)
-		j.complete(statusCanceled, nil, nil, errClientGone)
-		return
+		return statusCanceled, nil, nil, errClientGone
 	}
 	remaining := j.deadline.Sub(start)
 	if remaining <= 0 {
 		s.rec.Add("serve/deadline_expired_queued", 1)
 		j.log.Warn("job failed", "reason", "deadline_expired_queued", "queue_ms", queueMS)
-		j.complete(statusFailed, nil, nil, &apiError{
+		return statusFailed, nil, nil, &apiError{
 			Status: http.StatusGatewayTimeout, Code: "deadline_exceeded",
 			Message: "deadline expired while the request was queued",
-		})
-		return
+		}
 	}
 
 	// Deadline → budget mapping (DESIGN.md §11): the soft deadline
@@ -445,19 +451,17 @@ func (s *Server) runJob(j *job) {
 		if j.aborted() || ctx.Err() != nil {
 			s.rec.Add("serve/canceled", 1)
 			j.log.Warn("job canceled", "queue_ms", queueMS, "compile_ms", ms, "err", err.Error())
-			j.complete(statusCanceled, nil, nil, &apiError{
+			return statusCanceled, nil, nil, &apiError{
 				Status: http.StatusGatewayTimeout, Code: "canceled",
 				Message: fmt.Sprintf("compile canceled: %v", err),
-			})
-			return
+			}
 		}
 		s.rec.Add("serve/failed", 1)
 		j.log.Error("job failed", "queue_ms", queueMS, "compile_ms", ms, "err", err.Error())
-		j.complete(statusFailed, nil, nil, &apiError{
+		return statusFailed, nil, nil, &apiError{
 			Status: http.StatusInternalServerError, Code: "compile_failed",
 			Message: err.Error(),
-		})
-		return
+		}
 	}
 	s.rec.Add("serve/completed", 1)
 	if res.Degraded {
@@ -472,8 +476,7 @@ func (s *Server) runJob(j *job) {
 			"degraded", res.Degraded,
 			"degrade_reasons", strings.Join(res.DegradeReasons, ","))
 	}
-	m := s.buildManifest(j, res)
-	j.complete(statusDone, res, m, nil)
+	return statusDone, res, s.buildManifest(j, res), nil
 }
 
 // tracedCompile wraps the pipeline call in the request's root span,

@@ -10,7 +10,8 @@
 #      and re-synthesizes nothing;
 #   3. progress      — GET /v1/compile/{id}/events replays the stream
 #      and terminates with {"done":true};
-#   4. observability — /v1/healthz, /v1/stats and /debug/vars agree;
+#   4. observability — /v1/healthz, /v1/stats and /metrics agree, and
+#      /debug/vars serves the process expvar page;
 #   5. shutdown      — SIGTERM drains and the process exits cleanly.
 #
 # Requires: go, curl, python3 (for JSON assertions).
@@ -110,9 +111,14 @@ assert stats["counters"]["serve/completed"] >= 2, stats["counters"]
 assert stats["cache"]["synth_hits"] >= 1, stats["cache"]
 assert stats["circuits"], "no benchmark catalog"
 '
+curl -sf "$base/metrics" | python3 -c '
+import sys
+vals = [float(l.split()[-1]) for l in sys.stdin if l.split()[:1] == ["epoc_serve_requests_total"]]
+assert vals and vals[0] >= 2, vals
+'
 curl -sf "$base/debug/vars" | python3 -c '
 import json, sys
-assert json.load(sys.stdin)["epoc"]["serve/requests"] >= 2
+assert "memstats" in json.load(sys.stdin)
 '
 
 say "graceful shutdown"
